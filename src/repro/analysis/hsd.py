@@ -40,6 +40,7 @@ __all__ = [
     "batched_sequence_hsd",
     "MultiTableHSDReport",
     "multi_table_sequence_hsd",
+    "destination_link_usage",
     "down_port_destination_counts",
 ]
 
@@ -47,6 +48,14 @@ __all__ = [
 def _max_hops(tables: ForwardingTables) -> int:
     h = int(tables.fabric.node_level.max())
     return 2 * h + 2
+
+
+def _raise_at(bad: np.ndarray, template: str, *cols: np.ndarray) -> None:
+    """Raise ``ValueError`` for the first flagged entry of ``bad``,
+    formatting ``template`` with that entry of each array in ``cols``."""
+    if bad.any():
+        b = int(np.flatnonzero(bad)[0])
+        raise ValueError(template.format(*(int(c[b]) for c in cols)))
 
 
 def walk_flow_links(
@@ -57,6 +66,10 @@ def walk_flow_links(
     Returns ``(flow_idx, gports)``: parallel arrays listing, for each
     traversed directed link (identified by its source global port id),
     which flow crossed it.  Flows with ``src == dst`` contribute nothing.
+
+    Raises ``ValueError`` when a flow walks into a dead cable, hits a
+    ``-1`` entry, is delivered to an end-port other than its
+    destination, or is still moving after the hop limit.
     """
     fab = tables.fabric
     src = np.asarray(src, dtype=np.int64)
@@ -75,9 +88,6 @@ def walk_flow_links(
     ports.append(gp)
     cur = fab.peer_node[gp].astype(np.int64)
     tgt = dst[idx]
-    if (cur < 0).any():
-        bad = idx[cur < 0][0]
-        raise ValueError(f"flow {bad} walked into a dead cable")
 
     for _ in range(_max_hops(tables)):
         moving = cur != tgt
@@ -86,16 +96,19 @@ def walk_flow_links(
         idx = idx[moving]
         cur = cur[moving]
         tgt = tgt[moving]
+        # A moving flow below the switch ids walked into a dead cable
+        # (-1) or reached the wrong end-port; it must not index the
+        # switch rows.  One test per hop covers both.
+        stray = cur < fab.num_endports
+        if stray.any():
+            _raise_at(cur < 0, "flow {} walked into a dead cable", idx)
+            _raise_at(stray, "flow {} delivered to end-port {} instead of {}",
+                      idx, cur, tgt)
         gp = tables.out_port(cur, tgt)
-        if (gp < 0).any():
-            bad = idx[gp < 0][0]
-            raise ValueError(f"flow {bad} hit an unrouted destination")
+        _raise_at(gp < 0, "flow {} hit an unrouted destination", idx)
         flows_idx.append(idx)
         ports.append(gp)
         cur = fab.peer_node[gp].astype(np.int64)
-        if (cur < 0).any():
-            bad = idx[cur < 0][0]
-            raise ValueError(f"flow {bad} walked into a dead cable")
     else:
         if (cur != tgt).any():
             raise ValueError("routing loop: flows did not terminate")
@@ -341,8 +354,9 @@ def multi_table_sequence_hsd(
     match :func:`sequence_hsd` exactly.
 
     Raises ``ValueError`` on the same route anomalies as
-    :func:`walk_flow_links` (dead cable, unrouted destination, loop),
-    naming the offending case; filter disconnected repairs out first.
+    :func:`walk_flow_links` (dead cable, unrouted destination, wrong
+    end-port, loop), naming the offending case; filter disconnected
+    repairs out first.
     """
     C = len(tables_list)
     num_stages = len(cps.stages)
@@ -408,10 +422,6 @@ def _multi_walk_loads(
     keys_acc = [case * num_ports + gp]
     cur = peer[case, gp]
     tgt = np.tile(dst[f], C)
-    if (cur < 0).any():
-        b = int(np.flatnonzero(cur < 0)[0])
-        raise ValueError(
-            f"case {case[b]}: flow {flow[b]} walked into a dead cable")
     for _ in range(_max_hops(tables_list[0])):
         moving = cur != tgt
         if not moving.any():
@@ -420,24 +430,82 @@ def _multi_walk_loads(
         flow = flow[moving]
         cur = cur[moving]
         tgt = tgt[moving]
+        stray = cur < num_endports   # dead cable or wrong end-port
+        if stray.any():
+            _raise_at(cur < 0, "case {}: flow {} walked into a dead cable",
+                      case, flow)
+            _raise_at(stray, "case {}: flow {} delivered to end-port {} "
+                      "instead of {}", case, flow, cur, tgt)
         gp = switch_out[case, cur - num_endports, tgt]
-        if (gp < 0).any():
-            b = int(np.flatnonzero(gp < 0)[0])
-            raise ValueError(
-                f"case {case[b]}: flow {flow[b]} hit an unrouted "
-                f"destination")
+        _raise_at(gp < 0, "case {}: flow {} hit an unrouted destination",
+                  case, flow)
         keys_acc.append(case * num_ports + gp)
         cur = peer[case, gp]
-        if (cur < 0).any():
-            b = int(np.flatnonzero(cur < 0)[0])
-            raise ValueError(
-                f"case {case[b]}: flow {flow[b]} walked into a dead cable")
     else:
         if (cur != tgt).any():
             raise ValueError("routing loop: flows did not terminate")
     return np.bincount(
         np.concatenate(keys_acc), minlength=C * num_ports
     ).reshape(C, num_ports)
+
+
+#: Destinations propagated together by :func:`destination_link_usage`;
+#: bounds its working set to O(nodes x chunk) whatever the fabric size.
+_DEST_CHUNK = 128
+
+
+def destination_link_usage(tables: ForwardingTables,
+                           ends: np.ndarray) -> np.ndarray:
+    """Which directed links carry traffic toward each destination.
+
+    ``used[gp, j]`` is true when some flow ``s -> ends[j]`` with ``s``
+    in ``ends`` and ``s != ends[j]`` crosses the link leaving global
+    port ``gp``; the result has shape ``(num_ports, len(ends))``.
+
+    Destination-based tables make this per-destination reachability:
+    hop 0 is every source's host link, and each later hop follows one
+    LFT entry from the de-duplicated frontier of ``(node, destination)``
+    states, so the cost is O(hops x nodes x N) with no N^2 flow list.
+    Destinations are propagated in fixed-size chunks.
+
+    Raises ``ValueError`` exactly when :func:`walk_flow_links` would
+    over the same all-to-all flows: a dead cable, a ``-1`` entry,
+    delivery to the wrong end-port, or routes still moving after the
+    hop limit.
+    """
+    fab = tables.fabric
+    N = fab.num_endports
+    ends = np.asarray(ends, dtype=np.int64)
+    peer = fab.peer_node.astype(np.int64)
+    max_hops = _max_hops(tables)
+    used = np.zeros((fab.num_ports, len(ends)), dtype=bool)
+    for c0 in range(0, len(ends), _DEST_CHUNK):
+        dest = ends[c0:c0 + _DEST_CHUNK]
+        front = np.zeros((fab.num_nodes, len(dest)), dtype=bool)
+        gp = tables.host_out_port(ends[:, None], dest[None, :])
+        off_diag = ends[:, None] != dest[None, :]
+        col = np.broadcast_to(np.arange(len(dest)), gp.shape)[off_diag]
+        gp = gp[off_diag]
+        for hop in range(max_hops + 1):
+            used[gp, c0 + col] = True
+            node = peer[gp]
+            _raise_at(node < 0, "a route leaves port {} into a dead cable",
+                      gp)
+            front[node, col] = True
+            node, col = np.nonzero(front)
+            front[node, col] = False
+            moving = node != dest[col]
+            node, col = node[moving], col[moving]
+            if not len(node):
+                break
+            if hop == max_hops:
+                raise ValueError("routing loop: flows did not terminate")
+            d = dest[col]
+            _raise_at(node < N, "route toward {} delivered to end-port {}",
+                      d, node)
+            gp = tables.switch_out[node - N, d]
+            _raise_at(gp < 0, "route toward {} hit an unrouted entry", d)
+    return used
 
 
 def down_port_destination_counts(tables: ForwardingTables,
@@ -448,17 +516,14 @@ def down_port_destination_counts(tables: ForwardingTables,
     :func:`repro.routing.validate.down_port_destinations` for the
     reference implementation).  ``active`` restricts the all-to-all to a
     job's active end-ports (theorem 2 only binds the traffic a
-    partially populated job can generate)."""
+    partially populated job can generate).
+
+    The counts are the row sums of :func:`destination_link_usage` with
+    up-going links zeroed.  Raises ``ValueError`` on broken routes."""
     fab = tables.fabric
     ends = np.arange(fab.num_endports, dtype=np.int64) if active is None \
         else np.unique(np.asarray(active, dtype=np.int64))
-    N = len(ends)
-    src = np.repeat(ends, N)
-    dst = np.tile(ends, N)
-    flow_idx, gports = walk_flow_links(tables, src, dst)
-    flow_dst = dst[flow_idx]
-    pairs = np.unique(np.stack([gports, flow_dst], axis=1), axis=0)
-    counts = np.zeros(fab.num_ports, dtype=np.int64)
-    np.add.at(counts, pairs[:, 0], 1)
+    counts = destination_link_usage(tables, ends).sum(axis=1,
+                                                      dtype=np.int64)
     counts[fab.port_goes_up()] = 0
     return counts

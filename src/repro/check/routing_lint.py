@@ -1,9 +1,12 @@
 """Forwarding-table lint (``RTE0xx``).
 
 All passes read the :class:`~repro.fabric.lft.ForwardingTables` of the
-context; none mutate it.  The heavy passes walk every (src, dst) pair
-through the tables with the vectorised path walker, so even the
-all-pairs checks stay a few NumPy calls:
+context; none mutate it.  Reachability and up*/down* shape walk (all or
+a sample of) the (src, dst) pairs with the vectorised path walker; the
+deadlock and theorem-2 lints never enumerate flows and instead read
+per-destination link usage off the tables
+(:func:`repro.analysis.hsd.destination_link_usage`), so their cost is
+O(hops x nodes x N) rather than O(N^2 x hops):
 
 * ``RTE001``/``RTE002`` reachability (dead ends, loops),
 * ``RTE010`` up*/down* shape (no valleys) -- segmented-scan over the
@@ -76,6 +79,10 @@ class ReachabilityPass(CheckPass):
                 return "RTE001", (
                     f"route {src}->{dst} walks into a dead cable"
                     " (stale tables on a degraded fabric?)")
+            if cur < fab.num_endports:
+                return "RTE001", (
+                    f"route {src}->{dst} delivered to end-port {cur}"
+                    f" instead of {dst}")
             gp = int(tables.out_port(cur, dst))
             if gp < 0:
                 return "RTE001", (

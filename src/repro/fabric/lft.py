@@ -95,9 +95,10 @@ class ForwardingTables:
         hops[active] = 1
         for _ in range(limit):
             # Routes that walked into a dead cable (next node -1, e.g.
-            # stale tables on a degraded fabric) are unreachable -- they
-            # must not index the switch rows.
-            dead = active & (cur < 0)
+            # stale tables on a degraded fabric) or were delivered to
+            # another end-port are unreachable -- they must not index
+            # the switch rows.
+            dead = active & (cur < N) & (cur != dst)
             if dead.any():
                 hops[dead] = -1
                 active &= ~dead

@@ -10,39 +10,40 @@ Up*/down* routing on trees is the textbook acyclic case; this module
 *proves* it for a concrete forwarding table instead of assuming it --
 and catches engines (or hand-edited LFTs) that introduce valleys.
 
-The CDG is built from every (src, dst) pair's route using the
-vectorised path walker, so it is exact for destination-based tables.
+The CDG is read off the forwarding tables without walking any flow:
+with destination-based tables, link ``a`` feeding switch ``v`` depends
+on ``switch_out[v, d]`` exactly when some route toward ``d`` uses ``a``
+(:func:`repro.analysis.hsd.destination_link_usage`), so the graph is
+exact and costs O(hops x nodes x N) rather than O(N^2 x hops).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.hsd import walk_flow_links
+from ..analysis.hsd import destination_link_usage
 from ..fabric.lft import ForwardingTables
 
 __all__ = ["channel_dependencies", "find_cycle", "assert_deadlock_free"]
 
 
 def channel_dependencies(tables: ForwardingTables) -> set[tuple[int, int]]:
-    """All (link a -> link b) dependencies induced by all-pairs routes."""
+    """All (link a -> link b) dependencies induced by all-pairs routes.
+
+    Raises ``ValueError`` on broken routes (dead cable, ``-1`` entry,
+    wrong end-port, loop)."""
     fab = tables.fabric
     N = fab.num_endports
-    src = np.repeat(np.arange(N), N)
-    dst = np.tile(np.arange(N), N)
-    flow_idx, gports = walk_flow_links(tables, src, dst)
-    deps: set[tuple[int, int]] = set()
-    # walk_flow_links emits hop levels grouped: within a flow the links
-    # appear in path order but interleaved across flows; regroup.
-    order = np.lexsort((np.arange(len(flow_idx)), flow_idx))
-    f_sorted = flow_idx[order]
-    g_sorted = gports[order]
-    same_flow = f_sorted[1:] == f_sorted[:-1]
-    a = g_sorted[:-1][same_flow]
-    b = g_sorted[1:][same_flow]
-    pairs = np.unique(np.stack([a, b], axis=1), axis=0)
-    deps.update(map(tuple, pairs.tolist()))
-    return deps
+    P = fab.num_ports
+    g_in, d = np.nonzero(destination_link_usage(tables, np.arange(N)))
+    nxt = fab.peer_node[g_in].astype(np.int64)
+    into_switch = nxt >= N
+    g_in, d, nxt = g_in[into_switch], d[into_switch], nxt[into_switch]
+    # Sort and drop repeats: np.unique on 1-D integers is several times
+    # slower than a plain sort on NumPy >= 2.3.
+    keys = np.sort(g_in * P + tables.switch_out[nxt - N, d])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return set(zip((keys // P).tolist(), (keys % P).tolist()))
 
 
 def find_cycle(deps: set[tuple[int, int]]) -> list[int] | None:

@@ -79,6 +79,10 @@ def trace_route(tables: ForwardingTables, src: int, dst: int,
         if cur < 0:
             raise RoutingError(
                 f"route {src}->{dst} walks into a dead cable")
+        if cur < fab.num_endports:
+            raise RoutingError(
+                f"route {src}->{dst} delivered to end-port {cur} "
+                f"instead of {dst}")
         gp = int(tables.out_port(cur, dst))
         if gp < 0:
             raise RoutingError(f"dead end at node {cur} toward {dst}")

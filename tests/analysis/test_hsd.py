@@ -6,6 +6,7 @@ import pytest
 from repro.analysis import (
     HSDReport,
     fixed_shift_pattern,
+    multi_table_sequence_hsd,
     random_order_sweep,
     sequence_hsd,
     stage_link_loads,
@@ -13,7 +14,7 @@ from repro.analysis import (
     walk_flow_links,
 )
 from repro.collectives import shift
-from repro.fabric import build_fabric
+from repro.fabric import ForwardingTables, build_fabric
 from repro.ordering import random_order, topology_order
 from repro.routing import route_dmodk, trace_route
 from repro.topology import pgft
@@ -42,6 +43,14 @@ class TestWalker:
     def test_shape_mismatch_rejected(self, fig1_tables):
         with pytest.raises(ValueError):
             walk_flow_links(fig1_tables, np.arange(3), np.arange(4))
+
+    def test_wrong_endport_rejected_by_stacked_walk(self, fig1_tables):
+        sw = fig1_tables.switch_out.copy()
+        sw[3, 13] = sw[3, 14]   # leaf 3 hands dest 13 to host 14
+        broken = ForwardingTables(fabric=fig1_tables.fabric, switch_out=sw)
+        with pytest.raises(ValueError, match="delivered to end-port 14"):
+            multi_table_sequence_hsd([fig1_tables, broken], shift(16),
+                                     topology_order(16))
 
 
 class TestStageLoads:

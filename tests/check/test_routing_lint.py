@@ -15,8 +15,15 @@ from repro.check import (
     UpPortBalancePass,
     run_check,
 )
+from repro.analysis.hsd import walk_flow_links
 from repro.fabric import ForwardingTables, build_fabric
-from repro.routing import route_dmodk, route_minhop, route_random
+from repro.routing import (
+    RoutingError,
+    route_dmodk,
+    route_minhop,
+    route_random,
+    trace_route,
+)
 from repro.topology import pgft
 
 
@@ -75,6 +82,28 @@ class TestReachability:
         _, report = lint(broken, [ReachabilityPass()])
         assert "RTE002" in report.codes()
         assert "loop" in report.by_code("RTE002")[0].message
+
+    # fig1 has 16 hosts and 6 switches.  Host 2 as a switch row would be
+    # -14 (out of bounds); host 14 would wrap to a real row (-2).
+    @pytest.mark.parametrize("leaf,dst,via", [(0, 1, 2), (3, 13, 14)],
+                             ids=["out-of-range", "wrapping"])
+    def test_wrong_endport_is_rte001(self, fig1_tables, leaf, dst, via):
+        broken = copy_tables(fig1_tables)
+        broken.switch_out[leaf, dst] = broken.switch_out[leaf, via]
+        hops = broken.paths_matrix()
+        assert hops[5, dst] == -1 and hops[5, via] > 0
+        with pytest.raises(ValueError, match="delivered to end-port"):
+            walk_flow_links(broken, np.array([5]), np.array([dst]))
+        with pytest.raises(RoutingError, match="delivered to end-port"):
+            trace_route(broken, 5, dst)
+        result = run_check(CheckContext.for_tables(broken,
+                                                   routing_name="dmodk"),
+                           certify=False)
+        codes = result.report.codes()
+        assert "RTE001" in codes and "RTE002" not in codes
+        assert (f"route 5->{dst} delivered to end-port {via} instead of "
+                f"{dst}") in {d.message for d in result.report.by_code(
+                    "RTE001")}
 
 
 class TestUpDown:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.hsd import down_port_destination_counts
 from repro.fabric import ForwardingTables, build_fabric
 from repro.routing import (
     assert_deadlock_free,
@@ -12,7 +13,7 @@ from repro.routing import (
     route_minhop,
     route_random,
 )
-from repro.topology import pgft
+from repro.topology import paper_topologies, pgft
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +58,14 @@ class TestRoutedFabrics:
         assert ndeps > 0
 
     def test_every_test_spec_deadlock_free(self, any_spec):
-        if any_spec.num_endports > 128:
-            pytest.skip("all-pairs CDG; keep it small")
         tables = route_dmodk(build_fabric(any_spec))
         assert_deadlock_free(tables)
+
+    def test_paper_n324_dmodk(self):
+        # The table-level lints are cheap enough at paper scale.
+        tables = route_dmodk(build_fabric(paper_topologies()["n324"]))
+        assert assert_deadlock_free(tables) == 17172
+        assert down_port_destination_counts(tables).max() <= 1
 
     def test_valley_routing_creates_cycle(self, fabric):
         # Force a down-then-up valley: leaf 1 bounces dest 15 upward
